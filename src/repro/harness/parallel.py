@@ -305,12 +305,11 @@ class ShmExchange:
         return buf[off : off + 8 * n_fast].cast("q")
 
     def write_keys(
-        self, src: int, dest: int, parity: int, fast_keys: Sequence[int]
+        self, src: int, dest: int, parity: int, fast_keys: array
     ) -> None:
-        """Stamp the coordinator-assigned merge keys into the segment."""
-        self.keys_view(src, dest, parity, len(fast_keys))[:] = array(
-            "q", fast_keys
-        )
+        """Stamp the coordinator-assigned merge keys (an ``array('q')``)
+        into the segment."""
+        self.keys_view(src, dest, parity, len(fast_keys))[:] = fast_keys
 
     def close(self) -> None:
         """Release and unlink every segment (coordinator side only)."""

@@ -56,6 +56,7 @@ overrun the serial budget k×.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import random
@@ -461,6 +462,44 @@ def _compile_send(shard: "_VectorShard", cls: type):
     }
     exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
     return namespace["_send"]
+
+
+def _merge_ranks(
+    time_cols: list[Any], key_cols: list[Any], idx_cols: list[Any]
+) -> Any:
+    """Each record's position in ``(time, key, idx)`` order.
+
+    The three columns arrive in pieces (one per routed batch, then one
+    for the slow lane) and are ranked as if concatenated: ``rank[p]`` is
+    record ``p``'s place in the order.  Merge keys are unique, so the
+    order is total.  numpy ranks with one ``lexsort``; without it, a
+    ``sorted`` over the triples, which Timsort finishes quickly because
+    every batch is already a sorted run.
+    """
+    if _np is not None:
+        np = _np
+        order = np.lexsort(
+            (
+                np.concatenate(idx_cols),
+                np.concatenate(key_cols),
+                np.concatenate(time_cols),
+            )
+        )
+        ranks = np.empty(len(order), dtype=np.int64)
+        ranks[order] = np.arange(len(order), dtype=np.int64)
+        return ranks
+    triples = list(
+        zip(
+            [t for col in time_cols for t in col],
+            [k for col in key_cols for k in col],
+            [i for col in idx_cols for i in col],
+        )
+    )
+    order = sorted(range(len(triples)), key=triples.__getitem__)
+    ranks = [0] * len(triples)
+    for rank, p in enumerate(order):
+        ranks[p] = rank
+    return ranks
 
 
 class _OutBuffer:
@@ -1434,8 +1473,11 @@ class _LocalHandle:
     def collect(self):
         return self._reply
 
-    def finish(self) -> dict[str, Any]:
-        return self._shard.finish()
+    def finish(self) -> None:
+        self._final = self._shard.finish()
+
+    def final(self) -> dict[str, Any]:
+        return self._final
 
     def close(self) -> None:
         pass
@@ -1491,6 +1533,11 @@ def _worker_main(
     """
     try:
         shard = _shard_class(cfg.engine)(cfg, index)
+        # The shard and the heap inherited from the coordinator live for
+        # the whole run: move them out of the collector's reach, so every
+        # gen-2 pass scans only what the windows allocate (and leaves the
+        # inherited copy-on-write pages untouched).
+        gc.freeze()
         while True:
             op = conn.recv()
             if op[0] == "window":
@@ -1537,6 +1584,7 @@ class _ForkHandle:
         index: int,
         exchange: ShmExchange | None = None,
     ) -> None:
+        self._index = index
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_worker_main, args=(child, cfg, index, exchange), daemon=True
@@ -1558,7 +1606,9 @@ class _ForkHandle:
                 isinstance(exc_type, type) and issubclass(exc_type, BaseException)
             ):
                 raise SimulationError(f"shard worker failed: {message}\n{tb}")
-            raise exc_type(message)
+            exc = exc_type(message)
+            exc.add_note(f"shard {self._index} worker traceback:\n{tb}")
+            raise exc
         return reply
 
     def window(self, start, end, budget, incoming, parity) -> None:
@@ -1568,8 +1618,10 @@ class _ForkHandle:
         reply = self._recv()
         return reply[1], reply[2]
 
-    def finish(self) -> dict[str, Any]:
+    def finish(self) -> None:
         self._conn.send(("finish",))
+
+    def final(self) -> dict[str, Any]:
         return self._recv()[1]
 
     def close(self) -> None:
@@ -1759,6 +1811,11 @@ class ShardedNetwork:
         self._forked = forked
         self._exchange: ShmExchange | None = None
         self._ran = False
+        #: Coordinator-side counters behind the ``route_s``,
+        #: ``shm_overflow_batches`` and ``slow_lane_records`` stats.
+        self._route_s = 0.0
+        self._shm_overflow_batches = 0
+        self._slow_lane_records = 0
         self.stats: dict[str, Any] = {}
 
     # -- the barrier loop --------------------------------------------------
@@ -1858,7 +1915,11 @@ class ShardedNetwork:
                 outs, pending_in, global_seq, parity
             )
 
-        finals = [handle.finish() for handle in handles]
+        # Ask every shard for its final fold before collecting any: forked
+        # workers then build and pickle their snapshots concurrently.
+        for handle in handles:
+            handle.finish()
+        finals = [handle.final() for handle in handles]
         self.stats.update(
             {
                 "shards": k,
@@ -1873,6 +1934,9 @@ class ShardedNetwork:
                 "events_total": total_processed,
                 "events_per_shard": [f["processed"] for f in finals],
                 "busy_per_shard": [f["busy"] for f in finals],
+                "route_s": self._route_s,
+                "shm_overflow_batches": self._shm_overflow_batches,
+                "slow_lane_records": self._slow_lane_records,
             }
         )
         return finals
@@ -1887,21 +1951,35 @@ class ShardedNetwork:
         """Globally order one window's sends and route them to their shards.
 
         Returns the earliest routed arrival time and the advanced global
-        sequence counter.  The sort key is each record's merge key (see the
-        module docstring); assigning consecutive keys in sorted order
-        reproduces the serial kernel's scheduling order for these sends.
+        sequence counter.  Each record's merge key (see the module
+        docstring) is read as three columns -- source time, source key,
+        and a third column that is the send index for delivery-sourced
+        records -- and ranked once over the whole window; record ``p``
+        gets global key ``global_seq + rank[p]``, which reproduces the
+        serial kernel's scheduling order for these sends.
+
+        Timer-sourced slow records carry nested keys ``(fire, TIMER_MARK,
+        R, i, j)``.  They enter with key column ``TIMER_MARK`` and, as
+        third column, their rank among the window's timer-sourced records
+        (a ``sorted`` over those few full tuples).  ``TIMER_MARK`` exceeds
+        every delivery key, so the three columns order exactly as the
+        full tuples would.
 
         A batch may arrive as a ``("shm", n_fast, ints_len, slow)`` marker:
         its fast arrays live in the pair's shared segment for this window's
         ``parity`` and are read here through memoryview casts; the assigned
         merge keys are stamped back into the same segment, so the routed
         entry sent down the pipe is just a tiny ``("shm", parity, slow,
-        slow_keys)`` marker.  The merge-key ordering is source-agnostic --
-        shm and pipe batches interleave in the one global sort.
+        slow_keys)`` marker.
         """
-        items: list[tuple] = []
-        routed: dict[tuple[int, int], tuple] = {}
+        t0 = perf_counter()
+        np = _np
         exchange = self._exchange
+        runs: list[tuple] = []
+        time_cols: list[Any] = []
+        key_cols: list[Any] = []
+        idx_cols: list[Any] = []
+        slow_mks: list[tuple] = []
         incoming_min = float("inf")
         for src, out in enumerate(outs):
             for dest, batch in out.items():
@@ -1914,49 +1992,71 @@ class ShardedNetwork:
                 else:
                     times, ints, offs, slow = batch
                     n_fast = len(offs)
-                fast_keys = [0] * n_fast
-                slow_keys = [0] * len(slow)
-                routed[(src, dest)] = (
-                    shm, times, ints, offs, slow, fast_keys, slow_keys,
-                )
+                    if n_fast and exchange is not None:
+                        self._shm_overflow_batches += 1
+                runs.append((src, dest, shm, times, ints, offs, slow))
                 if n_fast:
-                    arrival = min(times[1::2])
+                    if np is not None:
+                        tv = np.frombuffer(times, dtype=np.float64)
+                        iv = np.frombuffer(ints, dtype=np.int64)
+                        ov = np.frombuffer(offs, dtype=np.int64)
+                        time_cols.append(tv[0::2])
+                        key_cols.append(iv[ov])
+                        idx_cols.append(iv[ov + 1])
+                        arrival = float(tv[1::2].min())
+                    else:
+                        time_cols.append(times[0::2])
+                        key_cols.append([ints[o] for o in offs])
+                        idx_cols.append([ints[o + 1] for o in offs])
+                        arrival = min(times[1::2])
                     if arrival < incoming_min:
                         incoming_min = arrival
-                    for r in range(n_fast):
-                        offset = offs[r]
-                        items.append(
-                            (
-                                (times[2 * r], ints[offset], ints[offset + 1]),
-                                src,
-                                dest,
-                                0,
-                                r,
-                            )
-                        )
-                for r, record in enumerate(slow):
-                    items.append((record[0], src, dest, 1, r))
+                for record in slow:
+                    slow_mks.append(record[0])
                     if record[1] < incoming_min:
                         incoming_min = record[1]
-        items.sort()
-        for _mkey, src, dest, lane, r in items:
-            batch = routed[(src, dest)]
-            (batch[5] if lane == 0 else batch[6])[r] = global_seq
-            global_seq += 1
-        for (src, dest), batch in routed.items():
-            shm, times, ints, offs, slow, fast_keys, slow_keys = batch
+        if slow_mks:
+            self._slow_lane_records += len(slow_mks)
+            timer_rank = {
+                mk: i
+                for i, mk in enumerate(
+                    sorted(mk for mk in slow_mks if mk[1] == TIMER_MARK)
+                )
+            }
+            time_cols.append([mk[0] for mk in slow_mks])
+            key_cols.append([mk[1] for mk in slow_mks])
+            idx_cols.append(
+                [
+                    timer_rank[mk] if mk[1] == TIMER_MARK else mk[2]
+                    for mk in slow_mks
+                ]
+            )
+        keys = array("q")
+        if time_cols:
+            ranks = _merge_ranks(time_cols, key_cols, idx_cols)
+            if np is not None:
+                keys.frombytes((ranks + global_seq).tobytes())
+            else:
+                keys.extend([r + global_seq for r in ranks])
+        # Fast records were concatenated run by run, slow records after
+        # all of them in the same run order.
+        fast_at = 0
+        slow_at = len(keys) - len(slow_mks)
+        for src, dest, shm, times, ints, offs, slow in runs:
+            n_fast = len(offs)
+            fast_keys = keys[fast_at : fast_at + n_fast]
+            fast_at += n_fast
+            slow_keys = keys[slow_at : slow_at + len(slow)].tolist()
+            slow_at += len(slow)
             if shm:
                 exchange.write_keys(src, dest, parity, fast_keys)
                 pending_in[dest][src] = ("shm", parity, slow, slow_keys)
             else:
                 pending_in[dest][src] = (
-                    times,
-                    ints,
-                    offs,
-                    array("q", fast_keys),
-                    slow,
-                    slow_keys,
+                    times, ints, offs, fast_keys, slow, slow_keys,
                 )
+        global_seq += len(keys)
+        self._route_s += perf_counter() - t0
         return incoming_min, global_seq
 
     def _raise_leader_conflict(
@@ -2065,10 +2165,10 @@ class ShardedNetwork:
 
         The capacity metric BENCH_kernel.json publishes: each shard's
         events divided by the wall seconds it spent *processing* (window
-        barriers and coordinator time excluded), summed over shards.  On a
-        multi-core host this is the deliverable aggregate rate; on a
-        single-core container it is the projected one (shards time-slice,
-        so per-shard busy rates are unaffected by contention).
+        barriers and coordinator time excluded), summed over shards.  It
+        is a projection that assumes one free core per shard and no
+        barrier cost; the measured wall clock is what ``perfbench/``
+        reports.
         """
         events = self.stats.get("events_per_shard") or []
         busy = self.stats.get("busy_per_shard") or []

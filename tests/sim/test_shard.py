@@ -15,14 +15,22 @@ digest-checked against the frozen fixture file.
 from __future__ import annotations
 
 import json
+import multiprocessing
+from array import array
 
 import pytest
 
 from dataclasses import dataclass
 
+from hypothesis import given, settings, strategies as st
+
 from repro.adversary import wakeup as adversary_wakeup
 from repro.adversary.delays import congested_links, worst_case_unit
-from repro.core.errors import ConfigurationError, LivelockError
+from repro.core.errors import (
+    ConfigurationError,
+    LivelockError,
+    ProtocolViolation,
+)
 from repro.core.messages import Message
 from repro.core.node import Node
 from repro.core.protocol import ElectionProtocol
@@ -38,7 +46,9 @@ from repro.sim.delays import ConstantDelay, HookDelay, UniformDelay
 from repro.sim.faults import FaultPlan, isolate
 from repro.sim.network import run_election
 from repro.sim.scheduler import Scheduler
+import repro.sim.shard as shard_mod
 from repro.sim.shard import (
+    TIMER_MARK,
     MessageCodec,
     ShardedNetwork,
     run_sharded_election,
@@ -353,6 +363,71 @@ def test_worker_exceptions_are_relayed_with_their_type():
             workers=2,
             max_events=50,
         )
+
+
+class _SnapshotRefusingNode(Node):
+    """Node 0 wakes, declares itself leader, and refuses its snapshot."""
+
+    def on_wake(self, spontaneous):
+        if self.ctx.node_id == 0:
+            self.become_leader()
+
+    def on_message(self, port, message):
+        pass
+
+    def snapshot(self):
+        if self.ctx.node_id == 0:
+            raise ProtocolViolation("snapshot refused by node 0")
+        return super().snapshot()
+
+
+class _SnapshotRefusingProtocol(ElectionProtocol):
+    name = "snapshot-refusing-test"
+
+    def create_node(self, ctx):
+        return _SnapshotRefusingNode(ctx)
+
+
+def test_a_worker_failing_in_finish_keeps_its_type_and_traceback():
+    """Finish requests go to every worker before any reply is read; the
+    failing shard's own exception still surfaces, carrying the worker-side
+    frame, and the other worker is closed rather than left hanging."""
+    with pytest.raises(ProtocolViolation, match="snapshot refused") as raised:
+        run_sharded_election(
+            _SnapshotRefusingProtocol(),
+            complete_with_sense_of_direction(8),
+            shards=2,
+            workers=2,
+        )
+    notes = "\n".join(raised.value.__notes__)
+    assert "shard 0 worker traceback" in notes
+    assert "in snapshot" in notes
+    assert 'raise ProtocolViolation("snapshot refused by node 0")' in notes
+    assert multiprocessing.active_children() == []
+
+
+def test_route_stats_name_the_fallbacks_taken(monkeypatch):
+    """``shm_overflow_batches``, ``slow_lane_records`` and ``route_s``
+    make the transport fallbacks visible.  The lossy overlay case puts
+    its nested envelopes on the slow lane; an 8-record segment pushes
+    the larger fast batches onto the pipes."""
+    monkeypatch.setenv("REPRO_SHM_RECORDS", "8")
+    stats = {}
+    for workers in (0, 2):
+        config = SHARDABLE_CASES["E@32-lossy-rel"]()
+        protocol = config.pop("protocol")
+        topology = config.pop("topology")
+        net = ShardedNetwork(
+            protocol, topology, shards=2, workers=workers, **config
+        )
+        net.run()
+        stats[workers] = net.stats
+    assert stats[2]["transport"] == "shm"
+    assert stats[2]["shm_overflow_batches"] == 4
+    assert stats[0]["shm_overflow_batches"] == 0
+    assert stats[0]["slow_lane_records"] == stats[2]["slow_lane_records"] == 326
+    for run in stats.values():
+        assert 0.0 < run["route_s"] < run["wall_seconds"]
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +851,103 @@ class TestGeometryAndStats:
         )
         assert result.leader_id is not None
         assert result.node_snapshots == ()
+
+
+# ---------------------------------------------------------------------------
+# The coordinator's merge-key ranking.
+# ---------------------------------------------------------------------------
+
+_ROUTE_SHARDS = 3
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+#: Delivery keys, plus the negative wake and crash planes.
+_KEYS = st.one_of(
+    st.integers(0, 40),
+    st.integers(shard_mod._WAKE_BASE, shard_mod._WAKE_BASE + 5),
+    st.integers(shard_mod._CRASH_BASE, shard_mod._CRASH_BASE + 5),
+)
+_FLAT_RANKS = st.tuples(_TIMES, _KEYS)
+_TIMER_RANKS = st.tuples(
+    _TIMES,
+    st.just(TIMER_MARK),
+    st.one_of(
+        _FLAT_RANKS,
+        st.tuples(_TIMES, st.just(TIMER_MARK), _FLAT_RANKS, st.integers(0, 2)),
+    ),
+    st.integers(0, 2),
+)
+#: One window: events with distinct ranks, each run on one source shard
+#: and sending to ``(dest, fast lane?)`` targets.  Only delivery-ranked
+#: events can use the fast lane; timer-ranked sends are always slow.
+_WINDOWS = st.lists(
+    st.tuples(
+        st.one_of(_FLAT_RANKS, _TIMER_RANKS),
+        st.integers(0, _ROUTE_SHARDS - 1),
+        st.lists(
+            st.tuples(st.integers(0, _ROUTE_SHARDS - 1), st.booleans()),
+            max_size=4,
+        ),
+    ),
+    max_size=25,
+    unique_by=lambda event: event[0],
+)
+
+
+@pytest.mark.parametrize(
+    "numpy_module",
+    [
+        pytest.param(
+            shard_mod._np,
+            id="numpy",
+            marks=pytest.mark.skipif(
+                shard_mod._np is None, reason="numpy unavailable"
+            ),
+        ),
+        pytest.param(None, id="no-numpy"),
+    ],
+)
+@settings(max_examples=150, deadline=None)
+@given(window=_WINDOWS, global_seq=st.integers(0, 10**6))
+def test_route_assigns_keys_in_full_merge_key_order(
+    numpy_module, window, global_seq
+):
+    """The columnar ranking equals a ``sorted()`` over the full tuple
+    merge keys: fast and slow records, flat and timer-nested keys,
+    negative wake/crash keys and equal source times all interleave."""
+    outs: list[dict[int, tuple]] = [{} for _ in range(_ROUTE_SHARDS)]
+    expected: list[tuple] = []
+    for rank, src, sends in window:
+        for j, (dest, fast) in enumerate(sends):
+            batch = outs[src].setdefault(
+                dest, (array("d"), array("q"), array("q"), [])
+            )
+            times, ints, offs, slow = batch
+            merge_key = rank + (j,)
+            arrival = rank[0] + 1.0 + dest
+            if fast and len(rank) == 2:
+                expected.append((merge_key, src, dest, 0, len(offs)))
+                times.extend((rank[0], arrival))
+                offs.append(len(ints))
+                ints.extend((rank[1], j, dest, 0, 1, 0, 0, 0, 0))
+            else:
+                expected.append((merge_key, src, dest, 1, len(slow)))
+                slow.append((merge_key, arrival, dest, 0, 1, 0, None))
+    net = ShardedNetwork(
+        ProtocolC(), complete_with_sense_of_direction(8),
+        shards=_ROUTE_SHARDS, workers=0,
+    )
+    pending_in: list[list] = [[None] * _ROUTE_SHARDS for _ in outs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shard_mod, "_np", numpy_module)
+        incoming_min, next_seq = net._route(outs, pending_in, global_seq, 0)
+    assert next_seq == global_seq + len(expected)
+    expected.sort()
+    for position, (_mk, src, dest, lane, r) in enumerate(expected):
+        routed = pending_in[dest][src]
+        assigned = routed[3][r] if lane == 0 else routed[5][r]
+        assert assigned == global_seq + position
+    arrivals = [mk[0] + 1.0 + dest for mk, _s, dest, _l, _r in expected]
+    assert incoming_min == min(arrivals, default=float("inf"))
+    assert net._slow_lane_records == sum(e[3] for e in expected)
 
 
 # ---------------------------------------------------------------------------

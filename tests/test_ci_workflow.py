@@ -128,6 +128,27 @@ class TestCommands:
         assert vector[0]["if"] == "matrix.marker == 'shard_smoke'"
         assert "python -m repro run" in vector[0]["run"]
 
+    def test_shard_smoke_leg_runs_forked_shards_and_the_ledger_smoke(self, jobs):
+        """The forked shard path (shared-memory exchange, coordinator
+        routing, concurrent finish) and the perfbench ledger each get an
+        invocation on the shard_smoke leg."""
+        lines = {
+            line.strip()
+            for s in _steps(jobs["smoke"])
+            if "run" in s and s.get("if") == "matrix.marker == 'shard_smoke'"
+            for line in s["run"].splitlines()
+        }
+        assert (
+            "python -m repro run --protocol C --n 256 --shards 2 "
+            "--shard-workers 2 --engine vector"
+        ) in lines
+        for workload in ("c-sharded", "lossy-sweep"):
+            assert (
+                f"python3 perfbench/run.py --workload {workload} --seed 1 "
+                "--seconds 1 --smoke"
+            ) in lines
+        assert "python3 -m pytest perfbench -q" in lines
+
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
         lines = list(_run_lines(jobs["lint"]))
         assert any(line.strip() == "python -m repro lint" for line in lines)
