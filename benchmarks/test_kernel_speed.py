@@ -16,9 +16,7 @@ best estimate of true kernel speed under noisy-neighbour CPU steal.  The
 sharded workloads apply the same best-of-three to both sides of the
 serial-vs-sharded comparison (fastest serial run, highest aggregate
 sharded run) and record the process's ``peak_rss_mb`` alongside the
-rates; the vector-engine entry additionally measures the interp engine
-in the same process so ``vector_speedup_vs_interp`` compares like with
-like.
+rates.
 The baselines are what the seed kernel (commit e13e13e, pre tuple-heap
 rewrite) measured on this container; the tuple-based kernel is asserted
 to beat them by at least 2x, with the actual multiple (~3.5x for C@2048
@@ -123,20 +121,15 @@ SHARDS = 16
 #: a wide noise margin.
 MIN_SHARDED_SPEEDUP = 10.0
 
-#: The frozen interp-engine record for C@131072-sharded16 (the committed
-#: BENCH_kernel.json value at the time the vector engine landed).  The
-#: vector engine's acceptance floor is an absolute multiple of this
-#: number, not of the same-session interp measurement, so a slow machine
-#: cannot "pass" by dragging the baseline down with it.
+#: The frozen record of the retired per-record shard kernel for
+#: C@131072-sharded16 (the committed BENCH_kernel.json value when the
+#: compiled send path and columnar decode landed).  The acceptance floor
+#: is an absolute multiple of this number, so a slow machine cannot
+#: "pass" by dragging a same-run baseline down with it.
 INTERP_RECORD_AGGREGATE = 1_845_902.6
 
-#: Absolute floor for the vector engine: at least 1.5x the frozen record.
+#: Absolute floor: at least 1.5x the frozen record.
 MIN_VECTOR_VS_RECORD = 1.5
-
-#: Sanity floor on the same-process vector/interp ratio.  The measured
-#: ratio on this container is ~1.4-1.6 (single core, noisy); the gate
-#: only needs to catch "vector stopped being faster at all".
-MIN_VECTOR_VS_INTERP = 1.1
 
 
 def _peak_rss_mb() -> float:
@@ -145,8 +138,8 @@ def _peak_rss_mb() -> float:
 
 
 #: Serial baseline cache: n -> (result fields, best rate, best seconds).
-#: Both sharded entries compare against the same best-of-ROUNDS serial
-#: run, measured once per process.
+#: The sharded entry compares against a best-of-ROUNDS serial run,
+#: measured once per process.
 _SERIAL: dict[int, tuple[tuple, float, float]] = {}
 
 
@@ -168,16 +161,14 @@ def _serial_baseline(n: int) -> tuple[tuple, float, float]:
     return _SERIAL[n]
 
 
-def _measure_sharded(
-    label: str, n: int, shards: int, engine: str
-) -> dict[str, float]:
+def _measure_sharded(label: str, n: int, shards: int) -> dict[str, float]:
     serial_fields, serial_rate, serial_dt = _serial_baseline(n)
 
     best_aggregate = 0.0
     for _ in range(ROUNDS):
         sharded = ShardedNetwork(
             ProtocolC(), complete_with_sense_of_direction(n),
-            shards=shards, workers=0, engine=engine,
+            shards=shards, workers=0,
         )
         start = time.perf_counter()
         result = sharded.run()
@@ -190,7 +181,7 @@ def _measure_sharded(
             digest_ok = serial_fields == _result_fields(result)
 
     stats = {
-        "engine": engine,
+        "engine": best.stats["engine"],
         "shards": shards,
         "events": best.stats["events_total"],
         "windows": best.stats["windows"],
@@ -207,27 +198,8 @@ def _measure_sharded(
 
 
 def _measure_sharded_vector(label: str, n: int, shards: int) -> dict:
-    """The vector entry: interp measured in the same process, then vector.
-
-    ``vector_speedup_vs_interp`` is a same-process, same-workload ratio —
-    the only way the two engines' busy-time rates are comparable on a
-    noisy machine.  The interp side reuses the interp entry's measurement
-    when that test already ran in this process (it did, in a full bench
-    run) and measures it otherwise.
-    """
-    interp_label = f"C@{n}-sharded{shards}"
-    interp = _RESULTS.get(interp_label)
-    if interp is None:
-        interp = _measure_sharded(interp_label, n, shards, "interp")
-    stats = _measure_sharded(label, n, shards, "vector")
-    stats["interp_aggregate_events_per_sec"] = interp[
-        "aggregate_events_per_sec"
-    ]
-    stats["vector_speedup_vs_interp"] = round(
-        stats["aggregate_events_per_sec"]
-        / interp["aggregate_events_per_sec"],
-        2,
-    )
+    """The sharded entry plus its multiple of the frozen record."""
+    stats = _measure_sharded(label, n, shards)
     stats["vector_speedup_vs_record"] = round(
         stats["aggregate_events_per_sec"] / INTERP_RECORD_AGGREGATE, 2
     )
@@ -253,35 +225,11 @@ def test_kernel_throughput_protocol_g_1024(benchmark):
     )
 
 
-def test_sharded_kernel_aggregate_throughput_c_131072(benchmark):
-    """ISSUE 7 headline: C at N=131072 (2^17, the smallest power-of-two
-    >= 100k that Protocol C accepts), 16 shards, digest-checked against
-    the serial run it is compared to."""
-    stats = benchmark.pedantic(
-        _measure_sharded,
-        args=("C@131072-sharded16", 131072, SHARDS, "interp"),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info.update(
-        {k: v for k, v in stats.items() if k != "checks"}
-    )
-    _flush()
-    assert stats["checks"]["digest_matches_serial"], (
-        "sharded C@131072 diverged from the serial kernel — the speedup "
-        "number is meaningless if the digest contract is broken"
-    )
-    assert stats["sharded_speedup_vs_serial"] >= MIN_SHARDED_SPEEDUP, (
-        f"sharded aggregate capacity fell to "
-        f"{stats['sharded_speedup_vs_serial']:.1f}x serial "
-        f"(floor {MIN_SHARDED_SPEEDUP}x)"
-    )
-
-
 def test_sharded_vector_engine_throughput_c_131072(benchmark):
-    """ISSUE 8 headline: the vectorized delivery engine on the same
-    workload, digest-checked, with both the same-process interp ratio and
-    the absolute multiple of the frozen interp record asserted."""
+    """C at N=131072 (2^17, the smallest power-of-two >= 100k that
+    Protocol C accepts) on 16 shards, digest-checked against the serial
+    run it is compared to, with the absolute multiple of the frozen
+    record asserted."""
     stats = benchmark.pedantic(
         _measure_sharded_vector,
         args=("C@131072-sharded16-vector", 131072, SHARDS),
@@ -293,17 +241,17 @@ def test_sharded_vector_engine_throughput_c_131072(benchmark):
     )
     _flush()
     assert stats["checks"]["digest_matches_serial"], (
-        "vector-engine C@131072 diverged from the serial kernel — the "
-        "speedup number is meaningless if the digest contract is broken"
+        "sharded C@131072 diverged from the serial kernel — the speedup "
+        "number is meaningless if the digest contract is broken"
     )
     assert stats["vector_speedup_vs_record"] >= MIN_VECTOR_VS_RECORD, (
-        f"vector engine reached only "
+        f"sharded kernel reached only "
         f"{stats['aggregate_events_per_sec']:.0f} ev/s aggregate = "
-        f"{stats['vector_speedup_vs_record']:.2f}x the frozen interp "
-        f"record {INTERP_RECORD_AGGREGATE:.0f} "
-        f"(floor {MIN_VECTOR_VS_RECORD}x)"
+        f"{stats['vector_speedup_vs_record']:.2f}x the frozen record "
+        f"{INTERP_RECORD_AGGREGATE:.0f} (floor {MIN_VECTOR_VS_RECORD}x)"
     )
-    assert stats["vector_speedup_vs_interp"] >= MIN_VECTOR_VS_INTERP, (
-        f"vector engine is only {stats['vector_speedup_vs_interp']:.2f}x "
-        f"same-process interp (floor {MIN_VECTOR_VS_INTERP}x)"
+    assert stats["sharded_speedup_vs_serial"] >= MIN_SHARDED_SPEEDUP, (
+        f"sharded aggregate capacity fell to "
+        f"{stats['sharded_speedup_vs_serial']:.1f}x serial "
+        f"(floor {MIN_SHARDED_SPEEDUP}x)"
     )

@@ -70,7 +70,6 @@ _HIGHER_BETTER_NAMES = frozenset(
         "wall_speedup_vs_pr1",
         "store_reduction_vs_pr1",
         "sharded_speedup_vs_serial",
-        "vector_speedup_vs_interp",
         "vector_speedup_vs_record",
     }
 )

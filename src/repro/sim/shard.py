@@ -15,7 +15,9 @@ runs them under **conservative time-window synchronization**:
 * At the window barrier the coordinator globally orders the buffered
   sends, assigns each a global sequence key, and routes the batches to the
   destination shards as **packed integer/float arrays** (the fast lane;
-  nested or tuple-carrying messages ride a pickled slow lane).
+  nested or tuple-carrying messages ride a pickled slow lane).  Shards
+  run in-process or in forked workers; forked workers exchange every
+  batch over their pipes.
 
 **Digest contract.**  A sharded run must be indistinguishable from the
 serial run in every deterministic result field
@@ -80,16 +82,11 @@ from repro.core.messages import (
     TYPE_TAG_BITS,
     Message,
     _word_bits,
-    message_bits,
 )
 from repro.core.node import Node, NodeContext
 from repro.core.protocol import ElectionProtocol
 from repro.core.results import ElectionResult
-from repro.harness.parallel import (
-    ShmExchange,
-    configured_processes,
-    fork_context,
-)
+from repro.harness.parallel import configured_processes, fork_context
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.events import TIEBREAK_SHIFT
 from repro.sim.faults import FaultPlan
@@ -122,12 +119,14 @@ _REC_HEAD = 9
 #: Largest magnitude packed verbatim; wider ints take the slow lane.
 _INT_LIMIT = 1 << 62
 
-#: The engines a shard can run its window loop on (see ``_shard_class``).
-ENGINES = ("interp", "vector")
+#: Slot-2 marker of a delivery entry: the window loop dispatches
+#: deliveries inline and calls every other entry's handler.
+_DELIVER = object()
 
-# numpy is an optional accelerator for the vector engine's columnar decode;
-# the pure-Python batch loop below it is byte-identical.  ``REPRO_NO_NUMPY``
-# (any non-empty value) forces the fallback — the CI no-numpy leg and the
+# numpy is an optional accelerator for the columnar window decode and the
+# coordinator's merge-key ranking; the pure-Python loops beside them are
+# byte-identical and are what runs without numpy.  ``REPRO_NO_NUMPY`` (any
+# non-empty value) forces them — the CI no-numpy leg and the
 # fallback-equality tests use it; tests may also monkeypatch ``_np``.
 try:
     import numpy as _np
@@ -152,6 +151,12 @@ class MessageCodec:
     everything else (overlay envelopes with nested messages, tuple fields)
     is relayed object-wise on the slow lane with identical semantics.
 
+    Both directions are exec-compiled on first use: one packer per class
+    (straight-line attribute reads with literal tag shifts) and one
+    builder per ``(type_id, tagword)`` (a constructor call with the
+    tag-constant fields baked in as literals).  SNIPPETS.md Snippet 3
+    (migen) is the grounding: compile the hot interpretation away.
+
     The registry is built once in the coordinator **before** forking, so
     every worker inherits the same ``type_id`` assignment; ids are an
     encoding detail and never influence results.
@@ -173,33 +178,51 @@ class MessageCodec:
         self._field_names = [
             tuple(f.name for f in _dataclass_fields(cls)) for cls in classes
         ]
+        self._packers: dict[type, Any] = {}
+        self._builders: dict[tuple[int, int], Any] = {}
         self._cache: dict[tuple, Message] = {}
+
+    def packer(self, cls: type):
+        """The compiled pack function for ``cls`` (None: always slow lane)."""
+        try:
+            return self._packers[cls]
+        except KeyError:
+            type_id = self._type_ids.get(cls)
+            fn = self._packers[cls] = (
+                None
+                if type_id is None
+                else _compile_packer(type_id, self._field_names[type_id])
+            )
+            return fn
 
     def pack(self, message: Message) -> tuple[int, int, list[int]] | None:
         """``(type_id, tagword, int fields)``, or None for the slow lane."""
-        type_id = self._type_ids.get(type(message))
-        if type_id is None:
-            return None
-        names = self._field_names[type_id]
-        if len(names) > 30:  # tagword is 2 bits per field in one int
-            return None
-        tags = 0
-        ints: list[int] = []
-        shift = 0
-        for name in names:
-            value = getattr(message, name)
-            if value is None:
-                tags |= _TAG_NONE << shift
-            elif value is True:
-                tags |= _TAG_TRUE << shift
-            elif value is False:
-                tags |= _TAG_FALSE << shift
-            elif type(value) is int and -_INT_LIMIT < value < _INT_LIMIT:
-                ints.append(value)
-            else:
-                return None
-            shift += 2
-        return type_id, tags, ints
+        fn = self.packer(type(message))
+        return None if fn is None else fn(message)
+
+    def builder(self, type_id: int, tags: int):
+        """The compiled ``int fields -> message`` constructor for a tagword."""
+        key = (type_id, tags)
+        fn = self._builders.get(key)
+        if fn is None:
+            values = []
+            next_int = 0
+            for i in range(len(self._field_names[type_id])):
+                tag = (tags >> (2 * i)) & 3
+                if tag == _TAG_INT:
+                    values.append(f"f[{next_int}]")
+                    next_int += 1
+                elif tag == _TAG_TRUE:
+                    values.append("True")
+                elif tag == _TAG_FALSE:
+                    values.append("False")
+                else:
+                    values.append("None")
+            source = f"def _build(f, _cls=_cls):\n    return _cls({', '.join(values)})"
+            namespace: dict[str, Any] = {"_cls": self._classes[type_id]}
+            exec(source, namespace)  # noqa: S102 - trusted codegen
+            fn = self._builders[key] = namespace["_build"]
+        return fn
 
     def unpack(self, type_id: int, tags: int, ints: tuple[int, ...]) -> Message:
         """Rebuild (and memoise) the message for a packed record.
@@ -212,47 +235,18 @@ class MessageCodec:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        names = self._field_names[type_id]
-        values: list[Any] = []
-        next_int = iter(ints).__next__
-        shift = 0
-        for _ in names:
-            tag = (tags >> shift) & 3
-            if tag == _TAG_INT:
-                values.append(next_int())
-            elif tag == _TAG_TRUE:
-                values.append(True)
-            elif tag == _TAG_FALSE:
-                values.append(False)
-            else:
-                values.append(None)
-            shift += 2
-        message = self._classes[type_id](*values)
+        message = self.builder(type_id, tags)(ints)
         if len(self._cache) < 4096:
             self._cache[key] = message
         return message
 
-    def vector_tables(self) -> "_VectorTables":
-        """The compiled per-type helpers the vector engine dispatches with.
 
-        Built lazily (forked workers compile their own copy from the
-        inherited registry — function objects would not survive a pickle
-        anyway) and cached on the codec.
-        """
-        tables = getattr(self, "_vector_tables", None)
-        if tables is None:
-            tables = self._vector_tables = _VectorTables(self)
-        return tables
-
-
-def _compile_packer(cls: type, names: tuple[str, ...]):
+def _compile_packer(type_id: int, names: tuple[str, ...]):
     """Exec-compile one class's pack function (None: always slow lane).
 
-    The generated function unrolls :meth:`MessageCodec.pack`'s field loop
-    into straight-line attribute reads with literal tag shifts — same
-    verdicts, same ``(tags, ints)`` for every input, no per-field loop or
-    ``getattr`` dispatch.  SNIPPETS.md Snippet 3 (migen) is the grounding:
-    compile the state machine's hot interpretation away.
+    The generated function returns ``(type_id, tagword, int fields)``, or
+    None when a field value is neither a narrow ``int`` nor
+    ``True``/``False``/``None``.
     """
     if len(names) > 30:  # tagword is 2 bits per field in one int
         return None
@@ -280,86 +274,36 @@ def _compile_packer(cls: type, names: tuple[str, ...]):
             "    else:",
             "        return None",
         ]
-    lines.append("    return tags, ints")
+    lines.append(f"    return {type_id}, tags, ints")
     namespace: dict[str, Any] = {"_LIM": _INT_LIMIT}
     exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
     return namespace["_pack"]
 
 
-class _VectorTables:
-    """Compiled per-type helpers shared by every :class:`_VectorShard`.
-
-    ``pack_fns`` maps message classes to ``(type_id, compiled packer)``;
-    ``builders`` compiles, per ``(type_id, tagword)``, a constructor call
-    with the tag-constant fields (None/True/False) baked in as literals so
-    decode only feeds it the int fields; ``bits`` memoises the O(log N)
-    audit per ``(type_id, tagword)`` — for a *flat* message the bit count
-    depends on the field values only through the tagword.
-    """
-
-    __slots__ = ("classes", "field_names", "pack_fns", "builders", "bits")
-
-    def __init__(self, codec: MessageCodec) -> None:
-        self.classes = codec._classes
-        self.field_names = codec._field_names
-        self.pack_fns: dict[type, tuple[int, Any]] = {}
-        for type_id, (cls, names) in enumerate(
-            zip(codec._classes, codec._field_names)
-        ):
-            fn = _compile_packer(cls, names)
-            if fn is not None:
-                self.pack_fns[cls] = (type_id, fn)
-        self.builders: dict[tuple[int, int], Any] = {}
-        self.bits: dict[tuple[int, int], int] = {}
-
-    def builder(self, type_id: int, tags: int):
-        """The compiled ``fields -> message`` constructor for one tagword."""
-        key = (type_id, tags)
-        fn = self.builders.get(key)
-        if fn is None:
-            values = []
-            next_int = 0
-            for i in range(len(self.field_names[type_id])):
-                tag = (tags >> (2 * i)) & 3
-                if tag == _TAG_INT:
-                    values.append(f"f[{next_int}]")
-                    next_int += 1
-                elif tag == _TAG_TRUE:
-                    values.append("True")
-                elif tag == _TAG_FALSE:
-                    values.append("False")
-                else:
-                    values.append("None")
-            source = f"def _build(f, _cls=_cls):\n    return _cls({', '.join(values)})"
-            namespace: dict[str, Any] = {"_cls": self.classes[type_id]}
-            exec(source, namespace)  # noqa: S102 - trusted codegen
-            fn = self.builders[key] = namespace["_build"]
-        return fn
-
-
-def _compile_send(shard: "_VectorShard", cls: type):
+def _compile_send(shard: "_Shard", cls: type):
     """Compile the fully-fused fast-path send for one message class.
 
-    The vector engine's deepest application of the compile-don't-interpret
-    idea: for an all-int flat message the *entire* send pipeline — port
-    check, O(log N) bit audit, per-type tally, wiring lookup, FIFO clamp
-    and record packing — reduces to straight-line code whose per-run
+    For an all-int flat message the *entire* send pipeline — port check,
+    O(log N) bit audit, per-type tally, wiring lookup, FIFO clamp and
+    record packing — reduces to straight-line code whose per-run
     constants (``n``, shard count, port count, constant latency, the
     audited bit size, the packed record head) are baked in as literals.
     One compiled frame per send replaces five interpreted ones.
 
     Field values that fall outside the fast envelope (wide ints, bools,
     ``None``), timer-sourced ranks, fault plans and invalid ports all fall
-    through to :meth:`_VectorShard._transmit_general`, whose side effects
-    (and exceptions) are identical to the interp engine's.
+    through to the shared :meth:`SendPath._transmit`, the one definition
+    of what a send does.
     """
-    tables = shard._tables
-    entry = tables.pack_fns.get(cls)
-    type_id = shard.codec._type_ids.get(cls)
-    names = tables.field_names[type_id] if type_id is not None else ()
-    if entry is None or len(names) > MAX_INT_FIELDS:
+    codec = shard.codec
+    type_id = codec._type_ids.get(cls)
+    if (
+        codec.packer(cls) is None
+        or len(codec._field_names[type_id]) > MAX_INT_FIELDS
+    ):
         # Unpackable or audit-ineligible classes stay on the general path.
-        return _VectorShard._transmit_general
+        return _Shard._transmit
+    names = codec._field_names[type_id]
     # The per-class tally lives in a one-slot list baked into the compiled
     # function (folded into ``_type_counts`` by ``finish``), replacing a
     # dict get+set per send with one indexed increment.
@@ -443,16 +387,16 @@ def _compile_send(shard: "_VectorShard", cls: type):
         "        idx = self._send_seq",
         "        self._send_seq = idx + 1",
         f"        dest = far * {cfg.shards} // {n}",
-        "        outl = self._outl",
-        "        buf = outl[dest]",
+        "        out = self._out",
+        "        buf = out[dest]",
         "        if buf is None:",
-        "            buf = outl[dest] = _OutBuffer()",
+        "            buf = out[dest] = _OutBuffer()",
         "        buf.tap(ce[0])",
         "        buf.tap(arrival)",
         "        buf.oap(len(buf.ints))",
         f"        buf.iex(({record}))",
         "        return",
-        "    self._transmit_general(position, port, m)",
+        "    self._transmit(position, port, m)",
     ]
     namespace: dict[str, Any] = {
         "_LIM": _INT_LIMIT,
@@ -514,14 +458,14 @@ class _OutBuffer:
         #: far_port, depth, sender_id, type_id, tagword, nfields, fields...``
         self.ints = array("q")
         #: Record start offsets into ``ints`` — the side array that lets
-        #: the router and the vector engine address the variable-stride
+        #: the router and the window decode address the variable-stride
         #: records columnarly instead of walking them one by one.
         self.offs = array("q")
         #: Slow lane: ``(merge_key, arrival, dest_pos, far_port, depth,
         #: sender_id, message)`` tuples.
         self.slow: list[tuple] = []
-        # Pre-bound mutators for the vector engine's fused send: appending
-        # through these skips two attribute walks per lane per send.
+        # Pre-bound mutators for the compiled send: appending through
+        # these skips two attribute walks per lane per send.
         self.tap = self.times.append
         self.iex = self.ints.extend
         self.oap = self.offs.append
@@ -544,8 +488,6 @@ class _RunConfig:
     max_events: int
     shards: int
     collect_snapshots: bool
-    #: Window-loop implementation, one of :data:`ENGINES`.
-    engine: str
     codec: MessageCodec
     #: Per-shard initial entries: ``(time, global_key, position)``.
     wakes: list[list[tuple[float, int, int]]]
@@ -577,8 +519,21 @@ class _ShardContext(NodeContext):
         self.has_sense_of_direction = topology.sense_of_direction
         self._rng: random.Random | None = None
 
-    def send(self, port: int, message: Message) -> None:  # noqa: D102
-        self._shard._transmit(self._position, port, message)
+    def send(self, port: int, message: Message) -> None:
+        """Dispatch straight to the message class's compiled send.
+
+        (A monomorphic inline cache — binding the first class's compiled
+        function over this method per instance — was tried and reverted:
+        election nodes are heavily polymorphic senders, so the class guard
+        failed on ~3/4 of sends and the re-dispatch cost more than the
+        saved frame.)
+        """
+        shard = self._shard
+        cls = type(message)
+        fn = shard._send_fns.get(cls)
+        if fn is None:
+            fn = shard._send_fns[cls] = _compile_send(shard, cls)
+        fn(shard, self._position, port, message)
 
     def port_label(self, port: int) -> int | None:  # noqa: D102
         return self._shard.topology.label(self._position, port)
@@ -617,38 +572,19 @@ class _ShardContext(NodeContext):
         pass
 
 
-class _VectorContext(_ShardContext):
-    """The vector engine's context: sends dispatch straight to the
-    per-class compiled function, skipping the ``_transmit`` trampoline
-    frame the interp engine pays on every send.
-
-    (A monomorphic inline cache — binding the first class's compiled
-    function over this method per instance — was tried and reverted:
-    election nodes are heavily polymorphic senders, so the class guard
-    failed on ~3/4 of sends and the re-dispatch cost more than the saved
-    frame.)
-    """
-
-    def send(self, port: int, message: Message) -> None:  # noqa: D102
-        shard = self._shard
-        cls = type(message)
-        fn = shard._send_fns.get(cls)
-        if fn is None:
-            fn = shard._send_fns[cls] = _compile_send(shard, cls)
-        fn(shard, self._position, port, message)
-
-
 class _Shard(SendPath):
     """One shard's runtime: nodes, scheduler (timers), channels, metrics.
 
-    The send pipeline itself (port check, bit audit, FIFO arrival, fault
-    verdicts) is :class:`SendPath`, shared verbatim with the serial kernel;
-    this class binds its :meth:`_dispatch_send` hook to the window buffers.
+    Sends take the per-class compiled path (:func:`_compile_send`) when
+    they can; everything else — slow-lane messages, timer-sourced sends,
+    fault plans — runs the :class:`SendPath` pipeline shared verbatim
+    with the serial kernel, whose :meth:`_dispatch_send` hook this class
+    binds to the window buffers.  Incoming batches are decoded
+    columnarly (:meth:`_decode_incoming`) and dispatched strictly
+    per-event in global merge order (:meth:`_dispatch`): the digest
+    contract, and mid-window timer interleaving, forbid applying
+    handlers out of order, so batching ends at the entry list.
     """
-
-    #: Context class handed to nodes; the vector engine swaps in one whose
-    #: ``send`` goes straight to the compiled per-class path.
-    _context_cls: type[_ShardContext] = _ShardContext
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
         self.cfg = cfg
@@ -680,41 +616,42 @@ class _Shard(SendPath):
         self._duplicated = 0
         self._jittered = 0
         self._channel_of = self.channels.channel
+        # First-level access to the lazily-built channel dict for the
+        # compiled sends (misses create the channel inline).
+        self._chan_map = self.channels._channels
         self._const_latency = (
             cfg.delays.delay
             if type(cfg.delays) is ConstantDelay
             and type(cfg.delays).gap is DelayModel.gap
             else None
         )
-        self._current_depth = 0
+        #: Per-class compiled send functions, built on first send of each
+        #: class (a worker only pays compilation for the types its
+        #: protocol actually uses).
+        self._send_fns: dict[type, Any] = {}
+        #: One-slot per-class tally cells baked into compiled send
+        #: functions; folded into ``_type_counts`` by :meth:`finish`.
+        self._class_cells: dict[type, list[int]] = {}
+        #: The entry being dispatched, when (and only when) its ``[0:2]``
+        #: is the send rank — i.e. any handler except a timer callback,
+        #: which sends under its own ``_current_rank``.
+        self._current_entry: tuple | None = None
         self._current_rank: tuple = (0.0, 0)
+        self._current_depth = 0
         self._send_seq = 0
         self._timer_seq = 0
         self._leader: tuple[int, float, int] | None = None
         self._last_time = 0.0
         self._busy = 0.0
-        self._out: dict[int, _OutBuffer] = {}
-
-        # Freeze ONE bound method per dispatch handler: entries carry these
-        # in slot 2, and the vector engine's inlined dispatch recognises
-        # deliveries by identity (a fresh ``self._deliver_entry`` access
-        # would bind a new object every time and never match ``is``).
-        self._deliver_entry = self._deliver_entry
-        self._timer_entry = self._timer_entry
-        self._wake_entry = self._wake_entry
-        self._crash_entry = self._crash_entry
+        #: The window's outgoing buffers, one slot per destination shard.
+        self._out: list[_OutBuffer | None] = [None] * self._shards
 
         self.lo, self.hi = _shard_bounds(self._n, cfg.shards, index)
         protocol = cfg.protocol
-        context_cls = self._context_cls
-        self.nodes: dict[int, Node] = {
-            position: protocol.create_node(context_cls(self, position))
-            for position in range(self.lo, self.hi)
-        }
-        #: The same nodes as a dense list (index ``position - lo``); the
-        #: vector engine's dispatch loop indexes it instead of the dict.
+        #: Owned nodes as a dense list, index ``position - lo``.
         self._node_list: list[Node] = [
-            self.nodes[position] for position in range(self.lo, self.hi)
+            protocol.create_node(_ShardContext(self, position))
+            for position in range(self.lo, self.hi)
         ]
         #: Globally-keyed entries waiting for their window, serial layout:
         #: ``(time, key, action, depth, *payload)``.
@@ -728,6 +665,11 @@ class _Shard(SendPath):
 
     # -- the send path (SendPath pipeline, buffered dispatch) --------------
 
+    def _source_rank(self) -> tuple:
+        """The dispatched event's rank (see the module docstring)."""
+        ce = self._current_entry
+        return (ce[0], ce[1]) if ce is not None else self._current_rank
+
     def _dispatch_send(
         self,
         arrival: float,
@@ -738,22 +680,22 @@ class _Shard(SendPath):
     ) -> None:
         """Buffer one send at the window barrier instead of scheduling it."""
         depth = self._current_depth + 1
-        rank = self._current_rank
         idx = self._send_seq
         self._send_seq = idx + 1
-        dest_shard = far * self._shards // self._n
-        buf = self._out.get(dest_shard)
+        dest = far * self._shards // self._n
+        buf = self._out[dest]
         if buf is None:
-            buf = self._out[dest_shard] = _OutBuffer()
-        packed = self.codec.pack(message) if len(rank) == 2 else None
+            buf = self._out[dest] = _OutBuffer()
+        ce = self._current_entry
+        packed = self.codec.pack(message) if ce is not None else None
         if packed is not None:
             type_id, tags, field_ints = packed
-            buf.times.append(rank[0])
-            buf.times.append(arrival)
-            buf.offs.append(len(buf.ints))
-            buf.ints.extend(
+            buf.tap(ce[0])
+            buf.tap(arrival)
+            buf.oap(len(buf.ints))
+            buf.iex(
                 (
-                    rank[1],
+                    ce[1],
                     idx,
                     far,
                     far_port,
@@ -765,11 +707,11 @@ class _Shard(SendPath):
                 )
             )
             if field_ints:
-                buf.ints.extend(field_ints)
+                buf.iex(field_ints)
         else:
             buf.slow.append(
                 (
-                    rank + (idx,),
+                    self._source_rank() + (idx,),
                     arrival,
                     far,
                     far_port,
@@ -785,7 +727,7 @@ class _Shard(SendPath):
         if delay < 0:
             raise SimulationError(f"negative timer delay {delay}")
         fire = self.scheduler.now + delay
-        rank = (fire, TIMER_MARK, self._current_rank, self._timer_seq)
+        rank = (fire, TIMER_MARK, self._source_rank(), self._timer_seq)
         self._timer_seq += 1
         self.scheduler.schedule_payload(
             fire,
@@ -799,7 +741,7 @@ class _Shard(SendPath):
 
     def _wake_entry(self, entry: tuple) -> None:
         position = entry[4]
-        node = self.nodes[position]
+        node = self._node_list[position - self.lo]
         if position not in self._crashed and not node.awake:
             self.metrics.on_wake(self.scheduler.now)
             node.wake(spontaneous=True)
@@ -808,6 +750,9 @@ class _Shard(SendPath):
         self._crashed.add(entry[4])
 
     def _timer_entry(self, entry: tuple) -> None:
+        # Timer callbacks send under the timer's own 4-tuple rank; clearing
+        # the entry routes their sends to the rank-aware general path.
+        self._current_entry = None
         position = entry[4]
         if self._has_failures and (
             position in self.failed_positions or position in self._crashed
@@ -816,21 +761,6 @@ class _Shard(SendPath):
         self._current_depth = entry[3]
         self._current_rank = entry[6]
         entry[5]()
-
-    def _deliver_entry(self, entry: tuple) -> None:
-        depth = entry[3]
-        position = entry[4]
-        if depth > self._max_depth:
-            self._max_depth = depth
-        if self._has_failures and (
-            position in self.failed_positions or position in self._crashed
-        ):
-            return
-        node = self.nodes[position]
-        if not node.awake:
-            self.metrics.on_wake(self.scheduler.now)
-        self._current_depth = depth
-        node.receive(entry[5], entry[6])
 
     def _on_leader_declared(self, position: int) -> None:
         if self._leader is not None and self._leader[0] != position:
@@ -848,48 +778,6 @@ class _Shard(SendPath):
             )
 
     # -- the window loop ---------------------------------------------------
-
-    def _decode_incoming(self, incoming: list[tuple | None]) -> None:
-        future = self.future
-        deliver = self._deliver_entry
-        unpack = self.codec.unpack
-        for batch in incoming:
-            if batch is None:
-                continue
-            times, ints, offs, fast_keys, slow, slow_keys = batch
-            for r, key in enumerate(fast_keys):
-                offset = offs[r]
-                nfields = ints[offset + 8]
-                message = unpack(
-                    ints[offset + 6],
-                    ints[offset + 7],
-                    tuple(ints[offset + _REC_HEAD : offset + _REC_HEAD + nfields]),
-                )
-                future.append(
-                    (
-                        times[2 * r + 1],
-                        key,
-                        deliver,
-                        ints[offset + 4],
-                        ints[offset + 2],
-                        ints[offset + 3],
-                        message,
-                        ints[offset + 5],
-                    )
-                )
-            for record, key in zip(slow, slow_keys):
-                future.append(
-                    (
-                        record[1],
-                        key,
-                        deliver,
-                        record[4],
-                        record[2],
-                        record[3],
-                        record[6],
-                        record[5],
-                    )
-                )
 
     def run_window(
         self,
@@ -926,7 +814,6 @@ class _Shard(SendPath):
         if timers:
             due.extend(timers)
         due.sort()
-        self._reset_out()
         processed = self._dispatch(due, end, budget)
         heap = scheduler._queue.heap  # timers only; deliveries stay in lists
         if processed:
@@ -938,7 +825,12 @@ class _Shard(SendPath):
             next_time = min(e[0] for e in self.future)
         if heap and (next_time is None or heap[0][0] < next_time):
             next_time = heap[0][0]
-        out = self._collect_out()
+        out = {
+            dest: (buf.times, buf.ints, buf.offs, buf.slow)
+            for dest, buf in enumerate(self._out)
+            if buf is not None
+        }
+        self._out = [None] * self._shards
         stats = {
             "processed": processed,
             "next_time": next_time,
@@ -947,333 +839,26 @@ class _Shard(SendPath):
         }
         return out, stats
 
-    def _reset_out(self) -> None:
-        """Clear the window's outgoing buffers (subclass hook)."""
-        self._out = {}
-
-    def _collect_out(self) -> dict[int, tuple]:
-        """Drain the window's buffers into wire tuples (subclass hook)."""
-        out = {
-            dest: (buf.times, buf.ints, buf.offs, buf.slow)
-            for dest, buf in self._out.items()
-        }
-        self._out = {}
-        return out
-
     def _dispatch(self, due: list[tuple], end: float, budget: int) -> int:
         """Fire the window's sorted ``due`` list, merged with heap timers.
 
         Timers armed *during* the window sit on the heap; the per-entry
         peek interleaves them into the exact ``(time, key)`` order the
-        serial heap would have produced.  Returns the number of events
-        fired (the coordinator's budget accounting needs it).
+        serial heap would have produced.  Deliveries are handled inline
+        (the common case — a message to an awake node — fires without a
+        handler or ``Node.receive`` frame); every other entry calls its
+        handler.  Returns the number of events fired (the coordinator's
+        budget accounting needs it).
         """
         scheduler = self.scheduler
         heap = scheduler._queue.heap
         heappop = heapq.heappop
-        processed = 0
-        i = 0
-        ndue = len(due)
-        while True:
-            if i < ndue:
-                entry = due[i]
-                if heap and heap[0][0] < end and heap[0] < entry:
-                    entry = heappop(heap)
-                else:
-                    i += 1
-            elif heap and heap[0][0] < end:
-                entry = heappop(heap)
-            else:
-                break
-            scheduler._now = entry[0]
-            processed += 1
-            if processed > budget:
-                raise LivelockError(
-                    f"event budget of {self.cfg.max_events} exhausted at "
-                    f"t={entry[0]}; the protocol is livelocked"
-                )
-            self._send_seq = 0
-            self._timer_seq = 0
-            self._current_rank = (entry[0], entry[1])
-            self._current_depth = 0
-            entry[2](entry)
-        return processed
-
-    def finish(self) -> dict[str, Any]:
-        """Final fold of this shard's accounting, for the coordinator."""
-        metrics = self.metrics
-        return {
-            "messages_total": self._messages_total,
-            "bits_total": self._bits_total,
-            "type_counts": self._type_counts,
-            "max_depth": self._max_depth,
-            "dropped": self._dropped,
-            "duplicated": self._duplicated,
-            "jittered": self._jittered,
-            "retransmissions": metrics.retransmissions,
-            "duplicates_suppressed": metrics.duplicates_suppressed,
-            "packets_abandoned": metrics.packets_abandoned,
-            "first_wake": metrics.first_wake_time,
-            "last_wake": metrics.last_wake_time,
-            "leader": self._leader,
-            "processed": self.scheduler.events_processed,
-            "busy": self._busy,
-            "last_time": self._last_time,
-            "max_channel_load": self.channels.max_load,
-            "base_positions": [
-                position
-                for position in range(self.lo, self.hi)
-                if self.nodes[position].is_base
-            ],
-            "crashed": sorted(self._crashed),
-            "snapshots": (
-                [
-                    (position, self.nodes[position].snapshot())
-                    for position in range(self.lo, self.hi)
-                ]
-                if self.cfg.collect_snapshots
-                else None
-            ),
-        }
-
-
-class _VectorShard(_Shard):
-    """The vector engine: columnar decode plus a compiled, fused send path.
-
-    Same window loop, same dispatch order, same buffers as the interp
-    engine — the engine changes *how* a window's batch is decoded and how
-    a send is packed, never *what* is produced, so its results are
-    byte-identical to the interp engine (and therefore to the serial
-    kernel's heap order).  Three mechanisms carry the speedup:
-
-    * **Columnar decode.**  Incoming fast-lane batches are gathered into
-      per-field columns (numpy fancy-indexing over the ``offs`` side
-      array when numpy is importable, list comprehensions otherwise) and
-      zipped straight into entry tuples, instead of per-record offset
-      walking and tuple assembly.
-    * **Grouped message building.**  Records share one compiled
-      constructor per ``(type_id, tagword)`` group (tag-constant fields
-      baked in as literals), fed through the codec's existing value memo.
-    * **Fused send path.**  One compiled per-class packer replaces the
-      pack loop, and the O(log N) bit audit is memoised per
-      ``(type_id, tagword)`` — sound because a *flat* message's bit size
-      depends on its field values only through the tagword.
-
-    Dispatch itself stays strictly per-event in global merge order: the
-    digest contract (and mid-window timer interleaving) forbids applying
-    handlers out of order, so batching ends at the entry list.
-    """
-
-    _context_cls = _VectorContext
-
-    def __init__(self, cfg: _RunConfig, index: int) -> None:
-        super().__init__(cfg, index)
-        #: One-slot per-class tally cells baked into compiled send
-        #: functions; folded into ``_type_counts`` by :meth:`finish`.
-        self._class_cells: dict[type, list[int]] = {}
-        tables = cfg.codec.vector_tables()
-        self._tables = tables
-        self._pack_fns = tables.pack_fns
-        self._bits_memo = tables.bits
-        #: Fast-lane sends tallied per *class* (folded to type names in
-        #: :meth:`finish`); slow-lane and faulty sends still land in
-        #: ``_type_counts`` via the shared pipeline.
-        self._class_counts: dict[type, int] = {}
-        # Sense-of-direction wiring is arithmetic; inlining it drops two
-        # method calls from every fast-lane send.  Same for first-level
-        # access to the lazily-built channel dict (misses fall back to the
-        # table's creating lookup).
-        self._cyclic = getattr(cfg.topology, "_cyclic", False)
-        self._chan_map = self.channels._channels
-        #: Per-class compiled send functions, built on first send of each
-        #: class (a worker only pays compilation for the types its
-        #: protocol actually uses).
-        self._send_fns: dict[type, Any] = {}
-        #: The entry being dispatched, when (and only when) its ``[0:2]``
-        #: is the send rank — i.e. any handler except a timer callback.
-        #: Compiled sends read the rank straight off it, which saves the
-        #: interp loop's per-event ``(time, key)`` tuple; ``None`` routes
-        #: sends to the general path, which falls back to
-        #: ``_current_rank`` exactly as the interp engine does.
-        self._current_entry: tuple | None = None
-        #: The window's outgoing buffers as a dense per-destination list
-        #: (one index per shard) instead of the interp engine's dict.
-        self._outl: list[_OutBuffer | None] = [None] * self._shards
-
-    def _transmit(self, position: int, port: int, message: Message) -> None:
-        self._send_poly(position, port, message)
-
-    def _send_poly(self, position: int, port: int, message: Message) -> None:
-        """Dispatch a send to its class's compiled function."""
-        cls = type(message)
-        fn = self._send_fns.get(cls)
-        if fn is None:
-            fn = self._send_fns[cls] = _compile_send(self, cls)
-        fn(self, position, port, message)
-
-    def _transmit_general(
-        self, position: int, port: int, message: Message
-    ) -> None:
-        if self._faults is not None:
-            self._transmit_faulty(position, port, message)
-            return
-        ce = self._current_entry
-        entry = self._pack_fns.get(type(message))
-        packed = (
-            entry[1](message) if entry is not None and ce is not None else None
-        )
-        if packed is None:
-            # Slow lane (wide ints, non-flat fields) or timer-sourced rank:
-            # the shared pipeline audits and buffers it object-wise.
-            SendPath._transmit(self, position, port, message)
-            return
-        if not 0 <= port < self._num_ports:
-            raise SimulationError(
-                f"node {self._ids[position]} used invalid port {port}"
-            )
-        type_id = entry[0]
-        tags, field_ints = packed
-        bits_key = (type_id, tags)
-        bits = self._bits_memo.get(bits_key)
-        if bits is None:
-            # Only memoise successful audits so an oversized message keeps
-            # raising MessageSizeError on every send, like the interp path.
-            bits = message_bits(message, self._n)
-            self._bits_memo[bits_key] = bits
-        self._messages_total += 1
-        self._bits_total += bits
-        counts = self._class_counts
-        cls = type(message)
-        counts[cls] = counts.get(cls, 0) + 1
-        if self._cyclic:
-            n = self._n
-            far = position + port + 1
-            if far >= n:
-                far -= n
-            far_port = n - 2 - port
-        else:
-            topology = self.topology
-            far = topology.neighbor(position, port)
-            far_port = topology.reverse_port(position, port)
-        ids = self._ids
-        sender_id = ids[position]
-        now = self.scheduler._now
-        link = (sender_id, ids[far])
-        channel = self._chan_map.get(link)
-        if channel is None:
-            channel = self._channel_of(*link)
-        latency = self._const_latency
-        if latency is not None:
-            arrival = now + latency
-            if arrival < channel.last_arrival:
-                arrival = channel.last_arrival
-            channel.last_arrival = arrival
-            channel.messages_sent += 1
-        else:
-            arrival = channel.arrival_time(message, now, self.delays, self.rng)
-        depth = self._current_depth + 1
-        idx = self._send_seq
-        self._send_seq = idx + 1
-        dest_shard = far * self._shards // self._n
-        outl = self._outl
-        buf = outl[dest_shard]
-        if buf is None:
-            buf = outl[dest_shard] = _OutBuffer()
-        buf.tap(ce[0])
-        buf.tap(arrival)
-        buf.oap(len(buf.ints))
-        buf.iex(
-            (
-                ce[1],
-                idx,
-                far,
-                far_port,
-                depth,
-                sender_id,
-                type_id,
-                tags,
-                len(field_ints),
-            )
-        )
-        if field_ints:
-            buf.iex(field_ints)
-
-    # -- rank plumbing for the slow/faulty lanes ---------------------------
-    #
-    # The vector loop publishes the dispatched entry instead of building a
-    # ``(time, key)`` rank tuple per event; the shared SendPath/slow-lane
-    # code still expects ``_current_rank``, so the handful of non-fast
-    # paths reconstruct it on demand.
-
-    def _dispatch_send(
-        self,
-        arrival: float,
-        far: int,
-        far_port: int,
-        message: Message,
-        sender_id: int,
-    ) -> None:
-        ce = self._current_entry
-        if ce is not None:
-            self._current_rank = (ce[0], ce[1])
-        super()._dispatch_send(arrival, far, far_port, message, sender_id)
-
-    def _schedule_timer(
-        self, position: int, delay: float, callback: Callable[[], None]
-    ) -> None:
-        ce = self._current_entry
-        if ce is not None:
-            self._current_rank = (ce[0], ce[1])
-        super()._schedule_timer(position, delay, callback)
-
-    def _timer_entry(self, entry: tuple) -> None:
-        # Timer callbacks send under the timer's own 4-tuple rank; clearing
-        # the entry routes their sends to the rank-aware general path.
-        self._current_entry = None
-        super()._timer_entry(entry)
-
-    def _reset_out(self) -> None:
-        self._out = {}
-        self._outl = [None] * self._shards
-
-    def _collect_out(self) -> dict[int, tuple]:
-        # Fast-lane records live in the dense list; the slow lane (via the
-        # shared ``_dispatch_send``) still lands in ``_out`` dict buffers.
-        # A destination never has both: every vector-side path that buffers
-        # fast records uses ``_outl`` exclusively.
-        out = {
-            dest: (buf.times, buf.ints, buf.offs, buf.slow)
-            for dest, buf in enumerate(self._outl)
-            if buf is not None
-        }
-        for dest, buf in self._out.items():
-            have = out.get(dest)
-            if have is None:
-                out[dest] = (buf.times, buf.ints, buf.offs, buf.slow)
-            else:
-                have[3].extend(buf.slow)
-        self._out = {}
-        self._outl = [None] * self._shards
-        return out
-
-    def _dispatch(self, due: list[tuple], end: float, budget: int) -> int:
-        """The base merge loop with the delivery handler inlined.
-
-        Identical order and side effects; the common case (a failure-free
-        run delivering a message to an awake node) fires without the
-        ``_deliver_entry`` and ``Node.receive`` frames.  Runs with failure
-        configs keep the base loop — the inlined body omits the
-        failed/crashed guards.
-        """
-        if self._has_failures:
-            return super()._dispatch(due, end, budget)
-        scheduler = self.scheduler
-        heap = scheduler._queue.heap
-        heappop = heapq.heappop
-        deliver = self._deliver_entry
         nodes = self._node_list
         lo = self.lo
         on_wake = self.metrics.on_wake
+        has_failures = self._has_failures
+        failed = self.failed_positions
+        crashed = self._crashed
         processed = 0
         i = 0
         ndue = len(due)
@@ -1299,12 +884,17 @@ class _VectorShard(_Shard):
             self._send_seq = 0
             self._timer_seq = 0
             self._current_entry = entry
-            if entry[2] is deliver:
+            if entry[2] is _DELIVER:
                 depth = entry[3]
                 if depth > self._max_depth:
                     self._max_depth = depth
+                position = entry[4]
+                if has_failures and (
+                    position in failed or position in crashed
+                ):
+                    continue
                 self._current_depth = depth
-                node = nodes[entry[4] - lo]
+                node = nodes[position - lo]
                 if node.awake:
                     node.on_message(entry[5], entry[6])
                 else:
@@ -1317,25 +907,26 @@ class _VectorShard(_Shard):
         return processed
 
     def _decode_incoming(self, incoming: list[tuple | None]) -> None:
+        """Turn the routed batches into delivery entries on ``future``.
+
+        The window loop sorts ``due`` by ``(time, key)`` before dispatch
+        and treats ``future`` as an unordered pool, so entries may be
+        appended in any order.  With numpy the decode therefore emits them
+        one ``(type_id, tagword)`` group at a time, every per-field gather
+        a single fancy-index over the ``offs`` side array, and the group's
+        messages built by one compiled constructor; without numpy a
+        per-record loop feeds the codec's value memo.
+        """
         future = self.future
-        deliver = self._deliver_entry
-        tables = self._tables
-        builders = tables.builders
-        make_builder = tables.builder
-        cache = self.codec._cache
+        builder = self.codec.builder
+        unpack = self.codec.unpack
         np = _np
         for batch in incoming:
             if batch is None:
                 continue
             times, ints, offs, fast_keys, slow, slow_keys = batch
             nrec = len(offs)
-            if nrec and np is not None and nrec >= 16:
-                # Group-ordered columnar decode.  The window loop sorts
-                # ``due`` by ``(time, key)`` before dispatch and treats
-                # ``future`` as an unordered pool, so entries may be
-                # appended in any order — which frees the decode to emit
-                # them one ``(type_id, tagword)`` group at a time, with
-                # every per-field gather a single numpy fancy-index.
+            if nrec and np is not None:
                 ivec = np.frombuffer(ints, dtype=np.int64)
                 ovec = np.frombuffer(offs, dtype=np.int64)
                 arrivals = np.frombuffer(times, dtype=np.float64)[1::2]
@@ -1369,10 +960,7 @@ class _VectorShard(_Shard):
                         o_g = ovec[idx]
                         arr_g = arrivals[idx]
                         key_g = keys[idx]
-                    group = (int(tid_s[a]), int(tag_s[a]))
-                    build = builders.get(group)
-                    if build is None:
-                        build = make_builder(*group)
+                    build = builder(int(tid_s[a]), int(tag_s[a]))
                     nf = int(ivec[o_g[0] + 8])
                     if nf:
                         cols = [
@@ -1388,7 +976,7 @@ class _VectorShard(_Shard):
                         zip(
                             arr_g.tolist(),
                             key_g.tolist(),
-                            repeat(deliver),
+                            repeat(_DELIVER),
                             ivec[o_g + 4].tolist(),
                             ivec[o_g + 2].tolist(),
                             ivec[o_g + 3].tolist(),
@@ -1397,27 +985,19 @@ class _VectorShard(_Shard):
                         )
                     )
             elif nrec:
-                arrivals = times[1::2]
-                messages: list[Message | None] = [None] * nrec
-                for r in range(nrec):
-                    o = offs[r]
-                    f = o + _REC_HEAD
-                    key = (ints[o + 6], ints[o + 7], tuple(ints[f : f + ints[o + 8]]))
-                    m = cache.get(key)
-                    if m is None:
-                        group = (key[0], key[1])
-                        build = builders.get(group)
-                        if build is None:
-                            build = make_builder(*group)
-                        m = build(key[2])
-                        if len(cache) < 4096:
-                            cache[key] = m
-                    messages[r] = m
+                messages = [
+                    unpack(
+                        ints[o + 6],
+                        ints[o + 7],
+                        tuple(ints[o + _REC_HEAD : o + _REC_HEAD + ints[o + 8]]),
+                    )
+                    for o in offs
+                ]
                 future.extend(
                     zip(
-                        arrivals,
+                        times[1::2],
                         fast_keys,
-                        repeat(deliver),
+                        repeat(_DELIVER),
                         [ints[o + 4] for o in offs],
                         [ints[o + 2] for o in offs],
                         [ints[o + 3] for o in offs],
@@ -1430,7 +1010,7 @@ class _VectorShard(_Shard):
                     (
                         record[1],
                         key,
-                        deliver,
+                        _DELIVER,
                         record[4],
                         record[2],
                         record[3],
@@ -1440,20 +1020,42 @@ class _VectorShard(_Shard):
                 )
 
     def finish(self) -> dict[str, Any]:
+        """Final fold of this shard's accounting, for the coordinator."""
         counts = self._type_counts
-        for cls, count in self._class_counts.items():
-            name = cls.__name__
-            counts[name] = counts.get(name, 0) + count
         for cls, cell in self._class_cells.items():
             if cell[0]:
                 name = cls.__name__
                 counts[name] = counts.get(name, 0) + cell[0]
-        return super().finish()
-
-
-def _shard_class(engine: str) -> type[_Shard]:
-    """Map an engine name to its shard implementation."""
-    return _VectorShard if engine == "vector" else _Shard
+        metrics = self.metrics
+        nodes = self._node_list
+        return {
+            "messages_total": self._messages_total,
+            "bits_total": self._bits_total,
+            "type_counts": counts,
+            "max_depth": self._max_depth,
+            "dropped": self._dropped,
+            "duplicated": self._duplicated,
+            "jittered": self._jittered,
+            "retransmissions": metrics.retransmissions,
+            "duplicates_suppressed": metrics.duplicates_suppressed,
+            "packets_abandoned": metrics.packets_abandoned,
+            "first_wake": metrics.first_wake_time,
+            "last_wake": metrics.last_wake_time,
+            "leader": self._leader,
+            "processed": self.scheduler.events_processed,
+            "busy": self._busy,
+            "last_time": self._last_time,
+            "max_channel_load": self.channels.max_load,
+            "base_positions": [
+                self.lo + i for i, node in enumerate(nodes) if node.is_base
+            ],
+            "crashed": sorted(self._crashed),
+            "snapshots": (
+                [(self.lo + i, node.snapshot()) for i, node in enumerate(nodes)]
+                if self.cfg.collect_snapshots
+                else None
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -1465,9 +1067,9 @@ class _LocalHandle:
     """Drives one shard in-process (the REPRO_PARALLEL=0 / 1-CPU mode)."""
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
-        self._shard = _shard_class(cfg.engine)(cfg, index)
+        self._shard = _Shard(cfg, index)
 
-    def window(self, start, end, budget, incoming, parity) -> None:
+    def window(self, start, end, budget, incoming) -> None:
         self._reply = self._shard.run_window(start, end, budget, incoming)
 
     def collect(self):
@@ -1483,56 +1085,10 @@ class _LocalHandle:
         pass
 
 
-def _stash_out(
-    exchange: ShmExchange, index: int, parity: int, out: dict[int, tuple]
-) -> dict[int, tuple]:
-    """Move each fast batch into shared memory; keep overflows on the pipe.
-
-    Returns the pipe-bound ``out`` dict: batches written to the pair's
-    segment are replaced by a ``("shm", n_fast, ints_len, slow)`` marker
-    (the slow lane always rides the pipe); fast batches that do not fit
-    the segment stay in full, so capacity never affects correctness.
-    """
-    wired: dict[int, tuple] = {}
-    for dest, batch in out.items():
-        times, ints, offs, slow = batch
-        if offs and exchange.try_write(index, dest, parity, times, ints, offs):
-            wired[dest] = ("shm", len(offs), len(ints), slow)
-        else:
-            wired[dest] = batch
-    return wired
-
-
-def _resolve_in(
-    exchange: ShmExchange, src: int, index: int, batch: tuple | None
-) -> tuple | None:
-    """Expand a routed ``("shm", ...)`` marker into decode-ready views.
-
-    The fast arrays come straight out of the ``src -> index`` segment as
-    typed memoryviews (the decoder only indexes and iterates them, so no
-    copy is ever made); the merge keys were stamped into the same segment
-    by the coordinator during routing.
-    """
-    if batch is None or batch[0] != "shm":
-        return batch
-    _tag, parity, slow, slow_keys = batch
-    n_fast, ints_len = exchange.header(src, index, parity)
-    times, ints, offs = exchange.fast_views(src, index, parity, n_fast, ints_len)
-    keys = exchange.keys_view(src, index, parity, n_fast)
-    return (times, ints, offs, keys, slow, slow_keys)
-
-
-def _worker_main(
-    conn, cfg: _RunConfig, index: int, exchange: ShmExchange | None = None
-) -> None:
-    """Forked worker loop: build the shard post-fork, serve window ops.
-
-    ``exchange`` (inherited through the fork, never pickled) carries the
-    fast-lane batches when the coordinator managed to create the shared
-    segments; ``None`` means everything rides the pipe.
-    """
+def _worker_main(conn, cfg: _RunConfig, index: int) -> None:
+    """Forked worker loop: build the shard post-fork, serve window ops."""
     try:
-        shard = _shard_class(cfg.engine)(cfg, index)
+        shard = _Shard(cfg, index)
         # The shard and the heap inherited from the coordinator live for
         # the whole run: move them out of the collector's reach, so every
         # gen-2 pass scans only what the windows allocate (and leaves the
@@ -1541,15 +1097,7 @@ def _worker_main(
         while True:
             op = conn.recv()
             if op[0] == "window":
-                incoming = op[4]
-                if exchange is not None:
-                    incoming = [
-                        _resolve_in(exchange, src, index, batch)
-                        for src, batch in enumerate(incoming)
-                    ]
-                out, stats = shard.run_window(op[1], op[2], op[3], incoming)
-                if exchange is not None:
-                    out = _stash_out(exchange, index, op[5], out)
+                out, stats = shard.run_window(op[1], op[2], op[3], op[4])
                 conn.send(("done", out, stats))
             elif op[0] == "finish":
                 conn.send(("result", shard.finish()))
@@ -1572,22 +1120,15 @@ def _worker_main(
 class _ForkHandle:
     """Drives one shard in a forked worker over a pipe.
 
-    When a :class:`ShmExchange` is supplied the pipe carries only control
-    messages, slow-lane records, and overflow batches; the packed fast
-    lanes move through the shared segments without pickling.
+    The pipe carries everything: control messages, the packed fast-lane
+    arrays (pickled as raw buffers) and the slow-lane records.
     """
 
-    def __init__(
-        self,
-        context,
-        cfg: _RunConfig,
-        index: int,
-        exchange: ShmExchange | None = None,
-    ) -> None:
+    def __init__(self, context, cfg: _RunConfig, index: int) -> None:
         self._index = index
         self._conn, child = context.Pipe()
         self._process = context.Process(
-            target=_worker_main, args=(child, cfg, index, exchange), daemon=True
+            target=_worker_main, args=(child, cfg, index), daemon=True
         )
         self._process.start()
         child.close()
@@ -1596,8 +1137,16 @@ class _ForkHandle:
         try:
             reply = self._conn.recv()
         except EOFError:
+            # The worker died without replying: reap it and name the cause.
+            self._process.join(timeout=5)
+            code = self._process.exitcode
+            cause = (
+                f"killed by signal {-code}"
+                if code is not None and code < 0
+                else f"exit code {code}"
+            )
             raise SimulationError(
-                "shard worker exited unexpectedly (killed or crashed hard)"
+                f"shard {self._index} worker died mid-run ({cause})"
             ) from None
         if reply[0] == "error":
             _, name, message, tb = reply
@@ -1611,8 +1160,8 @@ class _ForkHandle:
             raise exc
         return reply
 
-    def window(self, start, end, budget, incoming, parity) -> None:
-        self._conn.send(("window", start, end, budget, incoming, parity))
+    def window(self, start, end, budget, incoming) -> None:
+        self._conn.send(("window", start, end, budget, incoming))
 
     def collect(self):
         reply = self._recv()
@@ -1713,7 +1262,6 @@ class ShardedNetwork:
         *,
         shards: int,
         workers: int | None = None,
-        engine: str | None = None,
         delays: DelayModel | None = None,
         wakeup: WakeupSchedule | WakeupFactory | None = None,
         failed_positions: frozenset[int] | set[int] = frozenset(),
@@ -1729,17 +1277,6 @@ class ShardedNetwork:
                 f"shards must be an integer in [1, n={topology.n}], "
                 f"got {shards!r}"
             )
-        # ``None`` auto-selects the vector engine: it is digest-identical
-        # by contract and works with or without numpy (the pure-Python
-        # batch loop is the fallback), so there is nothing to detect
-        # beyond letting the import probe above pick the decode path.
-        if engine is None:
-            engine = "vector"
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine = engine
         delays = delays if delays is not None else ConstantDelay(1.0)
         if delays.uses_run_rng:
             raise ConfigurationError(
@@ -1794,7 +1331,6 @@ class ShardedNetwork:
             max_events=max_events,
             shards=shards,
             collect_snapshots=collect_snapshots,
-            engine=engine,
             codec=MessageCodec(),
             wakes=wakes,
             crashes=crash_entries,
@@ -1809,12 +1345,10 @@ class ShardedNetwork:
         else:
             forked = workers > 0 and fork_context() is not None
         self._forked = forked
-        self._exchange: ShmExchange | None = None
         self._ran = False
-        #: Coordinator-side counters behind the ``route_s``,
-        #: ``shm_overflow_batches`` and ``slow_lane_records`` stats.
+        #: Coordinator-side counters behind the ``route_s`` and
+        #: ``slow_lane_records`` stats.
         self._route_s = 0.0
-        self._shm_overflow_batches = 0
         self._slow_lane_records = 0
         self.stats: dict[str, Any] = {}
 
@@ -1832,12 +1366,8 @@ class ShardedNetwork:
         cfg = self._cfg
         if self._forked:
             context = fork_context()
-            # Segments must exist before the fork so every worker inherits
-            # the mappings; ``None`` (no /dev/shm, REPRO_SHM=0, ...) simply
-            # keeps the whole exchange on the pipes.
-            self._exchange = ShmExchange.create(k)
             handles: list[Any] = [
-                _ForkHandle(context, cfg, i, self._exchange) for i in range(k)
+                _ForkHandle(context, cfg, i) for i in range(k)
             ]
         else:
             handles = [_LocalHandle(cfg, i) for i in range(k)]
@@ -1846,9 +1376,6 @@ class ShardedNetwork:
         finally:
             for handle in handles:
                 handle.close()
-            if self._exchange is not None:
-                self._exchange.close()
-                self._exchange = None
         result = self._build_result(finals)
         self.stats["wall_seconds"] = perf_counter() - wall0
         if require_leader:
@@ -1888,10 +1415,9 @@ class ShardedNetwork:
                 break
             end = start + lookahead
             budget = max_events - total_processed
-            parity = windows & 1
             windows += 1
             for index, handle in enumerate(handles):
-                handle.window(start, end, budget, pending_in[index], parity)
+                handle.window(start, end, budget, pending_in[index])
             pending_in = [[None] * k for _ in range(k)]
             outs: list[dict[int, tuple]] = []
             for index, handle in enumerate(handles):
@@ -1911,9 +1437,7 @@ class ShardedNetwork:
                     f"the protocol is livelocked (aggregate across "
                     f"{k} shard schedulers)"
                 )
-            incoming_min, global_seq = self._route(
-                outs, pending_in, global_seq, parity
-            )
+            incoming_min, global_seq = self._route(outs, pending_in, global_seq)
 
         # Ask every shard for its final fold before collecting any: forked
         # workers then build and pickle their snapshots concurrently.
@@ -1923,19 +1447,16 @@ class ShardedNetwork:
         self.stats.update(
             {
                 "shards": k,
-                "engine": self.engine,
+                # One shard kernel; the name stays for the records that
+                # carry it.
+                "engine": "vector",
                 "forked": self._forked,
-                "transport": (
-                    "shm"
-                    if self._exchange is not None
-                    else ("pipes" if self._forked else "local")
-                ),
+                "transport": "pipes" if self._forked else "local",
                 "windows": windows,
                 "events_total": total_processed,
                 "events_per_shard": [f["processed"] for f in finals],
                 "busy_per_shard": [f["busy"] for f in finals],
                 "route_s": self._route_s,
-                "shm_overflow_batches": self._shm_overflow_batches,
                 "slow_lane_records": self._slow_lane_records,
             }
         )
@@ -1946,7 +1467,6 @@ class ShardedNetwork:
         outs: list[dict[int, tuple]],
         pending_in: list[list[tuple | None]],
         global_seq: int,
-        parity: int,
     ) -> tuple[float, int]:
         """Globally order one window's sends and route them to their shards.
 
@@ -1964,17 +1484,9 @@ class ShardedNetwork:
         (a ``sorted`` over those few full tuples).  ``TIMER_MARK`` exceeds
         every delivery key, so the three columns order exactly as the
         full tuples would.
-
-        A batch may arrive as a ``("shm", n_fast, ints_len, slow)`` marker:
-        its fast arrays live in the pair's shared segment for this window's
-        ``parity`` and are read here through memoryview casts; the assigned
-        merge keys are stamped back into the same segment, so the routed
-        entry sent down the pipe is just a tiny ``("shm", parity, slow,
-        slow_keys)`` marker.
         """
         t0 = perf_counter()
         np = _np
-        exchange = self._exchange
         runs: list[tuple] = []
         time_cols: list[Any] = []
         key_cols: list[Any] = []
@@ -1983,19 +1495,9 @@ class ShardedNetwork:
         incoming_min = float("inf")
         for src, out in enumerate(outs):
             for dest, batch in out.items():
-                shm = batch[0] == "shm"
-                if shm:
-                    _tag, n_fast, ints_len, slow = batch
-                    times, ints, offs = exchange.fast_views(
-                        src, dest, parity, n_fast, ints_len
-                    )
-                else:
-                    times, ints, offs, slow = batch
-                    n_fast = len(offs)
-                    if n_fast and exchange is not None:
-                        self._shm_overflow_batches += 1
-                runs.append((src, dest, shm, times, ints, offs, slow))
-                if n_fast:
+                times, ints, offs, slow = batch
+                runs.append((src, dest, times, ints, offs, slow))
+                if offs:
                     if np is not None:
                         tv = np.frombuffer(times, dtype=np.float64)
                         iv = np.frombuffer(ints, dtype=np.int64)
@@ -2042,19 +1544,15 @@ class ShardedNetwork:
         # all of them in the same run order.
         fast_at = 0
         slow_at = len(keys) - len(slow_mks)
-        for src, dest, shm, times, ints, offs, slow in runs:
+        for src, dest, times, ints, offs, slow in runs:
             n_fast = len(offs)
             fast_keys = keys[fast_at : fast_at + n_fast]
             fast_at += n_fast
             slow_keys = keys[slow_at : slow_at + len(slow)].tolist()
             slow_at += len(slow)
-            if shm:
-                exchange.write_keys(src, dest, parity, fast_keys)
-                pending_in[dest][src] = ("shm", parity, slow, slow_keys)
-            else:
-                pending_in[dest][src] = (
-                    times, ints, offs, fast_keys, slow, slow_keys,
-                )
+            pending_in[dest][src] = (
+                times, ints, offs, fast_keys, slow, slow_keys,
+            )
         global_seq += len(keys)
         self._route_s += perf_counter() - t0
         return incoming_min, global_seq
@@ -2183,7 +1681,6 @@ def run_sharded_election(
     *,
     shards: int,
     workers: int | None = None,
-    engine: str | None = None,
     delays: DelayModel | None = None,
     wakeup: WakeupSchedule | WakeupFactory | None = None,
     failed_positions: frozenset[int] | set[int] = frozenset(),
@@ -2205,7 +1702,6 @@ def run_sharded_election(
         topology,
         shards=shards,
         workers=workers,
-        engine=engine,
         delays=delays,
         wakeup=wakeup,
         failed_positions=failed_positions,

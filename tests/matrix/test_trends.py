@@ -49,7 +49,6 @@ class TestMetricDirection:
             assert metric_direction(key) is None
 
     def test_vector_engine_ratios_are_higher_better(self):
-        assert metric_direction("vector_speedup_vs_interp") == "up"
         assert metric_direction("vector_speedup_vs_record") == "up"
 
     def test_peak_rss_is_lower_better(self):
@@ -125,10 +124,10 @@ class TestComparison:
 
     def test_vector_speedup_dropping_beyond_the_band_fails(self):
         baseline = {"C@131072-sharded16-vector": {
-            "vector_speedup_vs_interp": 1.5,
+            "vector_speedup_vs_record": 1.5,
         }}
         regressed = {"C@131072-sharded16-vector": {
-            "vector_speedup_vs_interp": 0.9,  # -40% > 30% band
+            "vector_speedup_vs_record": 0.9,  # -40% > 30% band
         }}
         assert not compare_payloads(baseline, regressed).ok
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from array import array
 
 import pytest
@@ -30,6 +31,7 @@ from repro.core.errors import (
     ConfigurationError,
     LivelockError,
     ProtocolViolation,
+    SimulationError,
 )
 from repro.core.messages import Message
 from repro.core.node import Node
@@ -162,18 +164,12 @@ FULL_MATRIX_CASES = sorted(SHARDABLE_CASES)
 SMOKE_CASES = ("C@64", "B@32-unit", "G@64-k8", "E@32-lossy-rel", "RS@64")
 
 
-def _run_sharded(
-    name: str,
-    shards: int,
-    workers: int | None = 0,
-    engine: str | None = None,
-):
+def _run_sharded(name: str, shards: int, workers: int | None = 0):
     config = SHARDABLE_CASES[name]()
     protocol = config.pop("protocol")
     topology = config.pop("topology")
     return run_sharded_election(
-        protocol, topology, shards=shards, workers=workers, engine=engine,
-        **config,
+        protocol, topology, shards=shards, workers=workers, **config
     )
 
 
@@ -204,47 +200,18 @@ def test_sharded_digest_matches_seed_fixture(name, shards):
 
 
 # ---------------------------------------------------------------------------
-# Delivery engines.  ``engine=None`` auto-selects the vector engine, so
-# every other test in this file already exercises it (numpy decode when
-# available); the interp engine and the pure-Python fallback need pins of
-# their own.
+# Decode paths.  Every other test in this file runs the numpy decode when
+# numpy is importable; the pure-Python path (numpy absent) needs a pin of
+# its own.
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.shard_smoke
-@pytest.mark.parametrize("engine", ("interp", "vector"))
-def test_both_engines_match_the_seed_fixture(engine):
-    """The heaviest fault cell, digest-checked under each engine by name."""
-    actual = fingerprint(
-        _run_sharded("E@32-lossy-rel", shards=2, engine=engine)
-    )
-    assert actual == _fixture("E@32-lossy-rel")
-
-
-@pytest.mark.parametrize("name", ("C@64", "G@64-k8"))
-@pytest.mark.parametrize("shards", (2, 3))
-def test_interp_engine_digest_matches_seed_fixture(name, shards):
-    actual = fingerprint(_run_sharded(name, shards=shards, engine="interp"))
-    assert actual == _fixture(name), (
-        f"{name} at {shards} shards diverged under engine='interp'"
-    )
-
-
 def test_vector_engine_without_numpy_is_byte_identical(monkeypatch):
-    """The pure-Python batch fallback (REPRO_NO_NUMPY / numpy absent)
-    must produce the same digest as the numpy decode path."""
-    import repro.sim.shard as shard_mod
-
+    """The pure-Python decode and ranking (REPRO_NO_NUMPY / numpy absent)
+    must produce the same digest as the numpy path."""
     monkeypatch.setattr(shard_mod, "_np", None)
-    actual = fingerprint(
-        _run_sharded("E@32-lossy-rel", shards=2, engine="vector")
-    )
+    actual = fingerprint(_run_sharded("E@32-lossy-rel", shards=2))
     assert actual == _fixture("E@32-lossy-rel")
-
-
-def test_unknown_engine_is_refused():
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        _run_sharded("C@64", shards=2, engine="turbo")
 
 
 def test_lossy_overlay_case_is_exact_under_sharding():
@@ -321,36 +288,16 @@ def _transport_of(name: str, shards: int, workers: int) -> str:
 
 
 @pytest.mark.shard_smoke
-def test_shm_transport_matches_pipes_and_fixture(monkeypatch):
-    """Fast lanes over shared memory are byte-identical to the pipes.
-
-    Runs the heaviest fault cell (drop/dup/jitter + retransmission
-    overlay) so both the packed fast lane and the pickled slow lane cross
-    the segments' window parity flips.
-    """
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    shm = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
-    monkeypatch.setenv("REPRO_SHM", "0")
-    pipes = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
-    assert shm == pipes == _fixture("E@32-lossy-rel")
+def test_forked_pipes_transport_matches_fixture():
+    """The heaviest fault cell (drop/dup/jitter + retransmission overlay)
+    over forked workers: both the packed fast lane and the pickled slow
+    lane cross the pipes, and the digest equals the serial fixture."""
+    forked = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
+    assert forked == _fixture("E@32-lossy-rel")
 
 
-def test_shm_overflow_batches_ride_the_pipes(monkeypatch):
-    """Segment capacity is a perf knob, never a correctness one: with a
-    2-record capacity almost every batch overflows to the pipe lane, and
-    the digest must not move."""
-    monkeypatch.setenv("REPRO_SHM_RECORDS", "2")
-    assert (
-        fingerprint(_run_sharded("C@64", shards=2, workers=2))
-        == _fixture("C@64")
-    )
-
-
-def test_transport_stat_reports_the_exchange_in_use(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM", raising=False)
+def test_transport_stat_reports_the_exchange_in_use():
     assert _transport_of("C@64", shards=2, workers=0) == "local"
-    assert _transport_of("C@64", shards=2, workers=2) == "shm"
-    monkeypatch.setenv("REPRO_SHM", "off")
     assert _transport_of("C@64", shards=2, workers=2) == "pipes"
 
 
@@ -406,12 +353,54 @@ def test_a_worker_failing_in_finish_keeps_its_type_and_traceback():
     assert multiprocessing.active_children() == []
 
 
-def test_route_stats_name_the_fallbacks_taken(monkeypatch):
-    """``shm_overflow_batches``, ``slow_lane_records`` and ``route_s``
-    make the transport fallbacks visible.  The lossy overlay case puts
-    its nested envelopes on the slow lane; an 8-record segment pushes
-    the larger fast batches onto the pipes."""
-    monkeypatch.setenv("REPRO_SHM_RECORDS", "8")
+class _ExitingNode(Node):
+    """The node at ``victim`` kills its own worker process on wake."""
+
+    def __init__(self, ctx, victim, parent_pid):
+        super().__init__(ctx)
+        self._victim = victim
+        self._parent_pid = parent_pid
+
+    def on_wake(self, spontaneous):
+        # Only ever inside a forked worker: exiting the test process
+        # itself would end the whole test run.
+        if self.ctx.node_id == self._victim and os.getpid() != self._parent_pid:
+            os._exit(3)
+
+    def on_message(self, port, message):
+        pass
+
+
+class _ExitingProtocol(ElectionProtocol):
+    name = "exiting-worker-test"
+
+    def __init__(self, victim):
+        self._victim = victim
+        self._parent_pid = os.getpid()
+
+    def create_node(self, ctx):
+        return _ExitingNode(ctx, self._victim, self._parent_pid)
+
+
+def test_a_worker_dying_mid_window_names_its_shard_and_exit_code():
+    """A worker that exits without replying fails the run at once, with a
+    message naming the shard and the exit status; no child outlives it."""
+    topology = complete_with_sense_of_direction(8)
+    victim = topology.id_at(7)  # position 7 belongs to shard 1 of 2
+    with pytest.raises(SimulationError) as raised:
+        run_sharded_election(
+            _ExitingProtocol(victim), topology, shards=2, workers=2
+        )
+    message = str(raised.value)
+    assert "shard 1" in message
+    assert "exit code 3" in message
+    assert multiprocessing.active_children() == []
+
+
+def test_route_stats_name_the_fallbacks_taken():
+    """``slow_lane_records`` and ``route_s`` make the coordinator's work
+    visible.  The lossy overlay case puts its nested envelopes on the
+    slow lane, in-process and forked alike."""
     stats = {}
     for workers in (0, 2):
         config = SHARDABLE_CASES["E@32-lossy-rel"]()
@@ -422,9 +411,7 @@ def test_route_stats_name_the_fallbacks_taken(monkeypatch):
         )
         net.run()
         stats[workers] = net.stats
-    assert stats[2]["transport"] == "shm"
-    assert stats[2]["shm_overflow_batches"] == 4
-    assert stats[0]["shm_overflow_batches"] == 0
+    assert stats[2]["transport"] == "pipes"
     assert stats[0]["slow_lane_records"] == stats[2]["slow_lane_records"] == 326
     for run in stats.values():
         assert 0.0 < run["route_s"] < run["wall_seconds"]
@@ -737,6 +724,23 @@ class TestMessageCodec:
             rebuilt = codec.unpack(type_id, tags, tuple(ints))
             assert rebuilt == LatticeCapture(rank=edge, cand=0)
 
+    def test_pack_and_unpack_compile_once_per_class_and_tagword(self):
+        """``pack`` runs one compiled function per class and ``unpack``
+        one compiled constructor per ``(type_id, tagword)``; both are
+        built on first use and reused after."""
+        from repro.protocols.sense.protocol_c import LatticeCapture
+
+        codec = MessageCodec()
+        assert codec.packer(_Blob) is not None  # registered; packs per value
+        assert codec.pack(_Blob((1,))) is None
+        packer = codec.packer(LatticeCapture)
+        type_id, tags, ints = codec.pack(LatticeCapture(rank=9, cand=4))
+        assert codec.packer(LatticeCapture) is packer
+        build = codec.builder(type_id, tags)
+        assert codec.builder(type_id, tags) is build
+        assert build((9, 4)) == codec.unpack(type_id, tags, (9, 4))
+        assert codec.pack(_Nudge()) == (codec._type_ids[_Nudge], 0, [])
+
     def test_empty_payload_messages_round_trip(self):
         codec = MessageCodec()
         packed = codec.pack(_Nudge())
@@ -772,9 +776,9 @@ class TestMessageCodec:
         )
         assert serial == sharded
 
-    def test_mixed_lane_windows_round_trip_over_forked_shm_workers(self):
-        """Same mixing, but across the fork transport: slow records ride
-        the pipes while fast ones cross the shared segments."""
+    def test_mixed_lane_windows_round_trip_over_forked_pipe_workers(self):
+        """Same mixing, but across the fork transport: fast and slow
+        records of one window share each pair's pipe."""
         in_process = fingerprint(
             run_sharded_election(
                 _MixedLaneProtocol(),
@@ -938,7 +942,7 @@ def test_route_assigns_keys_in_full_merge_key_order(
     pending_in: list[list] = [[None] * _ROUTE_SHARDS for _ in outs]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shard_mod, "_np", numpy_module)
-        incoming_min, next_seq = net._route(outs, pending_in, global_seq, 0)
+        incoming_min, next_seq = net._route(outs, pending_in, global_seq)
     assert next_seq == global_seq + len(expected)
     expected.sort()
     for position, (_mk, src, dest, lane, r) in enumerate(expected):

@@ -111,8 +111,8 @@ class TestCommands:
         assert tier1[0]["env"]["PYTHONPATH"] == "src"
 
     def test_no_numpy_leg_runs_tier1_with_the_fallback_forced(self, jobs):
-        """The numpy-free leg is the proof the vector engine's
-        pure-Python fallback carries the whole suite."""
+        """The numpy-free leg is the proof the shard kernel's pure-Python
+        decode carries the whole suite."""
         steps = [s for s in _steps(jobs["tests-no-numpy"]) if "run" in s]
         tier1 = [s for s in steps if "python -m pytest -x -q" in s["run"]]
         assert len(tier1) == 1
@@ -120,17 +120,21 @@ class TestCommands:
         assert tier1[0]["env"]["REPRO_NO_NUMPY"] == "1"
 
     def test_shard_smoke_leg_exercises_the_vector_engine_cli(self, jobs):
-        vector = [
+        """The sharded CLI (the one shard kernel, which reports engine
+        ``"vector"``) runs on the shard_smoke leg, with no engine flag."""
+        cli = [
             s for s in _steps(jobs["smoke"])
-            if "run" in s and "--engine vector" in s["run"]
+            if "run" in s and "python -m repro run" in s["run"]
+            and "--shards 2" in s["run"]
         ]
-        assert len(vector) == 1
-        assert vector[0]["if"] == "matrix.marker == 'shard_smoke'"
-        assert "python -m repro run" in vector[0]["run"]
+        assert len(cli) == 1
+        assert cli[0]["if"] == "matrix.marker == 'shard_smoke'"
+        assert "--shard-workers 0" in cli[0]["run"]
+        assert "--engine" not in cli[0]["run"]
 
     def test_shard_smoke_leg_runs_forked_shards_and_the_ledger_smoke(self, jobs):
-        """The forked shard path (shared-memory exchange, coordinator
-        routing, concurrent finish) and the perfbench ledger each get an
+        """The forked shard path (pipe exchange, coordinator routing,
+        concurrent finish) and the perfbench ledger each get an
         invocation on the shard_smoke leg."""
         lines = {
             line.strip()
@@ -140,7 +144,7 @@ class TestCommands:
         }
         assert (
             "python -m repro run --protocol C --n 256 --shards 2 "
-            "--shard-workers 2 --engine vector"
+            "--shard-workers 2"
         ) in lines
         for workload in ("c-sharded", "lossy-sweep"):
             assert (
